@@ -571,6 +571,8 @@ def service_main(argv: list[str]) -> int:
             print(f"pathalias: update: {report.summary()} -> "
                   f"{report.out_path} in {report.seconds:.2f}s",
                   file=sys.stderr)
+            print(f"pathalias: update: phases: "
+                  f"{report.phase_summary()}", file=sys.stderr)
             return 0
 
         if args.command == "lookup":

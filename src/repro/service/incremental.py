@@ -4,9 +4,8 @@ Every monthly map posting forced sites to rerun pathalias from
 scratch, even though most revisions touch a handful of links.  Given
 the previous snapshot and the new map, this module
 
-1. diffs the stored compact graph against the freshly compiled one
-   (:func:`repro.netsim.mapdiff.diff_link_maps` over link-cost maps
-   reconstructed from both);
+1. compares the stored compact graph with the freshly compiled one
+   array by array (:func:`_cost_only_changes`);
 2. if the revision is *pure NORMAL-link cost changes* on an otherwise
    identical topology, computes the **affected-source set** — sources
    whose recorded shortest-path tree leaned on a changed link, plus
@@ -32,6 +31,13 @@ snapshot has no per-state costs, so the historical conservative
 fallbacks remain for it: second-best snapshots and changed links
 touching nets, domains, or private nodes remap fully.
 
+The old snapshot's table sections are read in place, never decoded:
+the affected screen binary-searches each source's mapped ``TREE`` and
+``STAT`` blocks, and the DFSM splice check compares record-name bytes
+against the ``RECS`` block.  The name-keyed
+:class:`~repro.netsim.mapdiff.MapDiff` is computed only when a caller
+reads :attr:`UpdateReport.diff`.
+
 The conservative direction is always "remap more": a source wrongly
 counted as affected costs one redundant (identical) remap; a source
 wrongly skipped would corrupt the store.
@@ -39,8 +45,10 @@ wrongly skipped would corrupt the store.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from repro.config import HeuristicConfig
@@ -64,11 +72,10 @@ from repro.service.store import (
 
 @dataclass
 class UpdateReport:
-    """What an update did and why."""
+    """What an update did, why, and where its time went."""
 
     mode: str                 # "incremental" | "full"
     reason: str               # why this mode was chosen
-    diff: MapDiff | None      # NORMAL-link view of the revision
     total_sources: int = 0
     remapped: list[str] = field(default_factory=list)
     reused: int = 0
@@ -77,6 +84,24 @@ class UpdateReport:
     out_path: Path | None = None
     heuristics: HeuristicConfig | None = None
     format: int = 2           # snapshot format version written
+    #: seconds per phase, in run order: ``guard`` (open the old
+    #: snapshot, decode its graph, check the revision is cost-only),
+    #: ``affected``, ``remap``, ``encode`` (DFSM splice check
+    #: included) and ``write``; a full rebuild is one ``rebuild``
+    phases: dict[str, float] = field(default_factory=dict)
+    #: the (old, new) graphs :attr:`diff` is computed from
+    graphs: tuple[CompactGraph, CompactGraph] | None = field(
+        default=None, repr=False, compare=False)
+
+    @cached_property
+    def diff(self) -> MapDiff | None:
+        """NORMAL-link view of the revision, computed on first read.
+
+        The update decides from :func:`_cost_only_changes` alone, so
+        only a caller that reads the diff pays for it."""
+        if self.graphs is None:
+            return None
+        return diff_compact_graphs(*self.graphs)
 
     def summary(self) -> str:
         """One human-readable line: mode, reason, remap/reuse counts."""
@@ -86,6 +111,11 @@ class UpdateReport:
         if self.diff is not None:
             base += f"; map diff: {self.diff.summary()}"
         return base
+
+    def phase_summary(self) -> str:
+        """The phase timings as one line, e.g. ``guard 4.1ms, ...``."""
+        return ", ".join(f"{name} {sec * 1e3:.1f}ms"
+                         for name, sec in self.phases.items())
 
 
 def compact_link_costs(cg: CompactGraph) -> dict[tuple[str, str], int]:
@@ -205,9 +235,8 @@ def affected_sources(reader: SnapshotReader, new_cg: CompactGraph,
     affected = []
     for source in reader.sources():
         table = reader.table(source)
-        pairs = table.tree_links()
         for _, _, u_name, v_name, c_old, c_new in links:
-            if (u_name, v_name) in pairs:
+            if table.has_tree_link(u_name, v_name):
                 affected.append(source)
                 break
             if c_new < c_old:
@@ -234,16 +263,17 @@ def affected_sources_exact(reader: SnapshotReader,
 
     Two screens per (source, changed link), both exact:
 
-    * **tree usage** — the stored tree-link pairs say whether this
+    * **tree usage** — the stored tree-link pairs (binary-searched in
+      the mapped ``TREE`` block, nothing decoded) say whether this
       source's shortest-path tree (any state, either second-best
       domain class, invented-back-link seeds included) leaned on the
       link; if so, its table must be remapped;
     * **triangle test** — for a cost *decrease* on ``u -> v``, the
-      stored state costs answer ``cost(s, u) + new_cost <=
-      cost(s, v)`` exactly, per state: the candidate path relaxes
-      ``u``'s state into the ``v`` state whose domain class is
-      ``class(u) | is_domain(v)``, mirroring the mapper's own
-      transition.  Dynamic penalties (mixed syntax, domain relay) only
+      stored state costs (binary-searched in the ``STAT`` block)
+      answer ``cost(s, u) + new_cost <= cost(s, v)`` exactly, per
+      state: the candidate path relaxes ``u``'s state into the ``v``
+      state whose domain class is ``class(u) | is_domain(v)``,
+      mirroring the mapper's own transition.  Dynamic penalties (mixed syntax, domain relay) only
       ever *add* cost, so using the bare link cost is a lower bound —
       a source counted affected by it at worst remaps to an identical
       section.
@@ -263,11 +293,9 @@ def affected_sources_exact(reader: SnapshotReader,
     affected = []
     for source in reader.sources():
         table = reader.table(source)
-        pairs = table.tree_links()
-        states = None
         hit = False
         for u, v, u_name, v_name, c_old, c_new in links:
-            if (u_name, v_name) in pairs:
+            if table.has_tree_link(u_name, v_name):
                 hit = True
                 break
             if c_new >= c_old:
@@ -275,17 +303,15 @@ def affected_sources_exact(reader: SnapshotReader,
                 # cannot move any label (costs are non-negative and
                 # ties already resolved against it).
                 continue
-            if states is None:
-                states = table.state_cost_map()
             for dclass in classes:
-                cu = states.get((u, dclass))
+                cu = table.state_cost_at(u, dclass)
                 if cu is None:
                     # This state of u is unreachable from the source;
                     # reachability is cost-independent, so the cheaper
                     # link cannot open a path through it.
                     continue
                 vclass = (dclass | is_domain[v]) if second else 0
-                cv = states.get((v, vclass))
+                cv = table.state_cost_at(v, vclass)
                 if cv is None or cu + c_new <= cv:
                     hit = True
                     break
@@ -324,7 +350,15 @@ def update_snapshot(old: str | Path | SnapshotReader,
     out_path, heuristics=old.heuristics(), case_fold=..., fmt=...)``
     in every mode.
     """
-    t0 = time.perf_counter()
+    t0 = mark = time.perf_counter()
+    phases: dict[str, float] = {}
+
+    def lap(phase: str) -> None:
+        nonlocal mark
+        now = time.perf_counter()
+        phases[phase] = now - mark
+        mark = now
+
     reader = old if isinstance(old, SnapshotReader) \
         else SnapshotReader.open(old)
     out_fmt = reader.version if fmt is None else fmt
@@ -334,22 +368,30 @@ def update_snapshot(old: str | Path | SnapshotReader,
         | (FLAG_CASE_FOLD if fold else 0)
     new_cg = new_graph if isinstance(new_graph, CompactGraph) \
         else CompactGraph.compile(new_graph)
-    diff = diff_compact_graphs(reader.decode_graph(), new_cg)
+    old_cg = reader.decode_graph()
+    # the report diffs lazily, so keep the revision's costs as they
+    # are now: a churn replay reprices the live graph in place
+    revised = copy.copy(new_cg)
+    revised.cost = list(new_cg.cost)
+    graphs = (old_cg, revised)
+    changed = _cost_only_changes(old_cg, new_cg)
+    lap("guard")
 
     def full(reason: str) -> UpdateReport:
         info = build_snapshot(new_cg, out_path, heuristics=cfg,
                               jobs=jobs, case_fold=fold, fmt=out_fmt)
+        lap("rebuild")
         return UpdateReport(
-            mode="full", reason=reason, diff=diff,
+            mode="full", reason=reason,
             total_sources=len(info.sources),
             remapped=list(info.sources), reused=0, engine=info.engine,
             seconds=time.perf_counter() - t0,
-            out_path=Path(out_path), heuristics=cfg, format=out_fmt)
+            out_path=Path(out_path), heuristics=cfg, format=out_fmt,
+            phases=phases, graphs=graphs)
 
     if out_fmt != reader.version:
         return full(f"format change (v{reader.version} -> "
                     f"v{out_fmt})")
-    changed = _cost_only_changes(reader.decode_graph(), new_cg)
     if changed is None:
         return full("topology changed")
     if reader.has_state_costs:
@@ -365,6 +407,7 @@ def update_snapshot(old: str | Path | SnapshotReader,
             return full("changed link touches a net, domain, private "
                         "node, or negative cost (v1 snapshot stores "
                         "no per-state costs; upgrade to v2)")
+    lap("affected")
     sources = eligible_sources(new_cg)
     if sources != reader.sources():
         # Cannot happen when the structural guard passed, but the
@@ -377,24 +420,21 @@ def update_snapshot(old: str | Path | SnapshotReader,
     payloads, engine = map_sources(new_cg, affected,
                                    payload_for_format(out_fmt),
                                    cfg, jobs)
+    lap("remap")
 
     def reusable_dfsm(source: str, records) -> bytes | None:
         """The old section's compiled-dispatch block, when the record
-        name set is unchanged (always, for a cost-only revision:
+        names are unchanged (always, for a cost-only revision:
         reachability is cost-independent).  The block is a pure
         function of the sorted names, so splicing it skips the
-        recompile while staying byte-identical to one."""
-        if out_fmt == 1:
+        recompile while staying byte-identical to one.  The names are
+        compared as UTF-8 bytes against the old ``RECS`` block in
+        place; no old name is decoded."""
+        table = reader.table(source)
+        if out_fmt == 1 or not table.has_automaton:
             return None
-        old_table = reader.table(source)
-        stored = old_table.dfsm_bytes()
-        if stored is None:
-            return None
-        names = sorted((name for _, name, _ in records),
-                       key=lambda n: n.encode("utf-8"))
-        if names != old_table.record_names():
-            return None
-        return stored
+        return table.dfsm_bytes(
+            sorted(name.encode("utf-8") for _, name, _ in records))
 
     fresh = {
         source: encode_table_section(records, unreachable, pairs,
@@ -406,15 +446,17 @@ def update_snapshot(old: str | Path | SnapshotReader,
         (source, fresh[source] if source in fresh
          else reader.table_bytes(source))
         for source in sources]
+    lap("encode")
     write_snapshot(
         out_path, encode_graph_section(new_cg),
         encode_meta_section(cfg), table_sections,
         flags=out_flags, fmt=out_fmt)
+    lap("write")
     reason = ("no route-relevant changes" if not changed
               else f"{len(changed)} link cost change(s)")
     return UpdateReport(
-        mode="incremental", reason=reason, diff=diff,
+        mode="incremental", reason=reason,
         total_sources=len(sources), remapped=list(affected),
         reused=len(sources) - len(affected), engine=engine,
         seconds=time.perf_counter() - t0, out_path=Path(out_path),
-        heuristics=cfg, format=out_fmt)
+        heuristics=cfg, format=out_fmt, phases=phases, graphs=graphs)

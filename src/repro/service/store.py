@@ -267,6 +267,11 @@ def decode_meta_section(data: bytes) -> HeuristicConfig:
         second_best=bool(second))
 
 
+def _utf8_pair(pair: tuple[str, str]) -> tuple[bytes, bytes]:
+    """Sort key of a ``TREE`` entry: its names as UTF-8 bytes."""
+    return pair[0].encode("utf-8"), pair[1].encode("utf-8")
+
+
 def encode_table_section(records, unreachable, tree_links,
                          states=(), fmt: int = VERSION,
                          dfsm: bytes | None = None) -> bytes:
@@ -293,8 +298,11 @@ def encode_table_section(records, unreachable, tree_links,
     record_refs = [(cost, pool.add(name), pool.add(route))
                    for cost, name, route in by_name]
     unreachable_refs = [pool.add(name) for name in sorted(unreachable)]
+    # TREE order is the UTF-8 bytes of (from, to) -- the same order as
+    # str order, stated as bytes because in-place readers
+    # (SnapshotTable.has_tree_link) binary-search the blob bytes
     pair_refs = [(pool.add(a), pool.add(b))
-                 for a, b in sorted(tree_links)]
+                 for a, b in sorted(tree_links, key=_utf8_pair)]
     recs = b"".join(
         _RECORD.pack(cost, nref[0], nref[1], rref[0], rref[1])
         for cost, nref, rref in record_refs)
@@ -352,7 +360,10 @@ class SnapshotTable(SuffixResolver):
     For v2 sections the mapper's per-state records are exposed through
     :meth:`state_records` / :meth:`state_cost_map` /
     :meth:`state_cost_of`; a v1 section reports none
-    (:attr:`has_state_costs` is False).
+    (:attr:`has_state_costs` is False).  :meth:`has_tree_link` and
+    :meth:`state_cost_at` binary-search the ``TREE`` and ``STAT``
+    blocks in place, which is how the incremental updater reads an
+    old snapshot without decoding it.
     """
 
     __slots__ = ("source", "version", "_data", "_state_map",
@@ -541,8 +552,7 @@ class SnapshotTable(SuffixResolver):
     def record_names(self) -> list[str]:
         """The record names alone, in (sorted) record order — the key
         sequence the section's ``DFSM`` block is compiled from, and
-        what the incremental updater compares to decide whether a
-        stored block can be spliced verbatim."""
+        what :meth:`automaton` compiles for a section without one."""
         out = []
         for i in range(self._rc):
             _, noff, nlen, _, _ = self._record(i)
@@ -557,12 +567,33 @@ class SnapshotTable(SuffixResolver):
         means :meth:`automaton` compiles one in memory on first use)."""
         return self._dfsm_off is not None
 
-    def dfsm_bytes(self) -> bytes | None:
+    def dfsm_bytes(self, names: list[bytes] | None = None
+                   ) -> bytes | None:
         """The raw stored ``DFSM`` block as real ``bytes`` (splice
         export, like :meth:`SnapshotReader.table_bytes`), or None for
-        sections without one."""
+        sections without one.
+
+        With ``names`` (UTF-8 record names, sorted by bytes) the block
+        is returned only when this section's ``RECS`` names are
+        exactly that sequence, compared as bytes with nothing decoded.
+        The block is a pure function of the names, so the incremental
+        updater can splice it into a new section over the same
+        names."""
         if self._dfsm_off is None:
             return None
+        if names is not None:
+            if len(names) != self._rc:
+                return None
+            data = self._data
+            # one memcpy of the section tail: slicing bytes is
+            # cheaper than slicing (and copying) a view per name
+            blob = bytes(data[self._blob_off:])
+            recs = data[self._records_off:
+                        self._records_off + self._rc * _RECORD.size]
+            stored = [blob[noff:noff + nlen]
+                      for _, noff, nlen, _, _ in _RECORD.iter_unpack(recs)]
+            if stored != names:
+                return None
         return bytes(self._data[self._dfsm_off:
                                 self._dfsm_off + self._dfsm_len])
 
@@ -651,6 +682,27 @@ class SnapshotTable(SuffixResolver):
             out.add((self._text(aoff, alen), self._text(boff, blen)))
         return out
 
+    def _tree_pair(self, i: int) -> tuple[bytes, bytes]:
+        aoff, alen, boff, blen = _PAIR.unpack_from(
+            self._data, self._pairs_off + i * _PAIR.size)
+        base = self._blob_off
+        return (bytes(self._data[base + aoff:base + aoff + alen]),
+                bytes(self._data[base + boff:base + boff + blen]))
+
+    def has_tree_link(self, src: str, dst: str) -> bool:
+        """Whether the ``TREE`` block holds the pair ``(src, dst)``: a
+        binary search in place over the block's UTF-8 byte order,
+        decoding nothing."""
+        key = (src.encode("utf-8"), dst.encode("utf-8"))
+        lo, hi = 0, self._tc
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._tree_pair(mid) < key:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo < self._tc and self._tree_pair(lo) == key
+
     # -- per-state costs (format v2) ------------------------------------------
 
     @property
@@ -683,6 +735,30 @@ class SnapshotTable(SuffixResolver):
                 (cid, flags & STATE_F_DOMAIN_CLASS): cost
                 for cid, flags, _, cost, _ in self.state_records()}
         return self._state_map
+
+    def state_cost_at(self, cid: int, dclass: int) -> int | None:
+        """The stored cost of state ``(cid, domain class)``, or None
+        when that state is unreached (or the section is v1): a binary
+        search in place over the ``STAT`` block's ``(cid, domain
+        class)`` order, building no :meth:`state_cost_map`."""
+        data = self._data
+        base = self._states_off
+        key = (cid, dclass)
+        lo, hi = 0, self._sc
+        while lo < hi:
+            mid = (lo + hi) // 2
+            c, _, _, flags, _ = _STATE.unpack_from(
+                data, base + mid * _STATE.size)
+            if (c, flags & STATE_F_DOMAIN_CLASS) < key:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo < self._sc:
+            c, cost, _, flags, _ = _STATE.unpack_from(
+                data, base + lo * _STATE.size)
+            if (c, flags & STATE_F_DOMAIN_CLASS) == key:
+                return cost
+        return None
 
     def state_cost_of(self, cid: int) -> int | None:
         """The cheapest stored state cost for a node (compact id), or

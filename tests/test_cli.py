@@ -221,6 +221,9 @@ class TestServiceCommands:
                      str(new_map)]) == 0
         err = capsys.readouterr().err
         assert "incremental update" in err
+        assert "pathalias: update: phases: guard " in err
+        for phase in ("affected", "remap", "encode", "write"):
+            assert f", {phase} " in err
         fresh = tmp_path / "fresh.snap"
         assert main(["snapshot", "-o", str(fresh), str(new_map)]) == 0
         assert new.read_bytes() == fresh.read_bytes()

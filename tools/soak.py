@@ -404,6 +404,7 @@ async def _soak(args: argparse.Namespace, workdir: Path) -> dict:
         # -- the replay loop ------------------------------------------
         replay_t0 = time.perf_counter()
         reloads = 0
+        update_phases: dict[str, float] = {}
         scratch_checks = 0
         expected_resyncs = 0
         max_staleness = 0.0
@@ -414,6 +415,9 @@ async def _soak(args: argparse.Namespace, workdir: Path) -> dict:
                 report = await asyncio.to_thread(
                     update_snapshot, paths[name], graphs[name],
                     new_path, full_threshold=1.0)
+                for phase, sec in report.phases.items():
+                    update_phases[phase] = \
+                        update_phases.get(phase, 0.0) + sec
                 if report.mode != "incremental":
                     violations.fallbacks.append(
                         f"gen {gen} {name}: mode={report.mode} "
@@ -536,6 +540,10 @@ async def _soak(args: argparse.Namespace, workdir: Path) -> dict:
         "events_per_sec": round(len(scenario.stream) / replay_s, 2)
         if replay_s else 0.0,
         "p99_lookup_ms": round(p99 * 1000, 3),
+        # mean seconds per update_snapshot call, by UpdateReport phase
+        "update_phase_ms": {
+            phase: round(sec / reloads * 1000, 3)
+            for phase, sec in update_phases.items()} if reloads else {},
         "max_notify_staleness_ms": round(max_staleness * 1000, 3),
         "violations": violations.total(),
     }
@@ -601,6 +609,10 @@ def main(argv: list[str] | None = None) -> int:
           f"{result['reloads']} reloads, "
           f"{result['client_requests']} client requests, "
           f"p99 {result['p99_lookup_ms']}ms", flush=True)
+    phases = ", ".join(f"{phase} {ms}ms"
+                       for phase, ms in result["update_phase_ms"].items())
+    print(f"soak: update phases (mean per update): {phases or 'none'}",
+          flush=True)
     if args.json_out:
         Path(args.json_out).write_text(
             json.dumps(result, indent=2) + "\n", encoding="utf-8")
